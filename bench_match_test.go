@@ -126,7 +126,7 @@ func BenchmarkPutUnderMatch(b *testing.B) {
 						default:
 						}
 						q := match.Query{Target: sums[i%len(sums)], Threshold: matchThreshold, Limit: 5}
-						if _, _, err := match.Run(base, q); err != nil {
+						if _, _, err := match.Run(base.Snapshot(), q); err != nil {
 							panic(err)
 						}
 					}
@@ -166,7 +166,7 @@ func BenchmarkPutBatchUnderMatch(b *testing.B) {
 				default:
 				}
 				q := match.Query{Target: sums[i%len(sums)], Threshold: matchThreshold, Limit: 5}
-				if _, _, err := match.Run(base, q); err != nil {
+				if _, _, err := match.Run(base.Snapshot(), q); err != nil {
 					panic(err)
 				}
 			}

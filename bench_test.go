@@ -254,7 +254,7 @@ func BenchmarkFig8Match(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				target := tb.sgs[n%len(tb.sgs)]
-				if _, _, err := match.Run(st.Base, match.Query{Target: target, Threshold: threshold}); err != nil {
+				if _, _, err := match.Run(st.Base.Snapshot(), match.Query{Target: target, Threshold: threshold}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -373,7 +373,7 @@ func BenchmarkResolution(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				target := targets[n%len(targets)]
-				if _, _, err := match.Run(base, match.Query{Target: target, Threshold: 1, Limit: 3}); err != nil {
+				if _, _, err := match.Run(base.Snapshot(), match.Query{Target: target, Threshold: 1, Limit: 3}); err != nil {
 					b.Fatal(err)
 				}
 			}

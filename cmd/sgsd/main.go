@@ -258,7 +258,7 @@ Flags:
 		if err != nil {
 			fatal("binding -http listener", "addr", *httpAddr, "err", err)
 		}
-		srv = &http.Server{Handler: mux}
+		srv = newHTTPServer(mux)
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fatal("http server failed", "err", err)
@@ -435,6 +435,25 @@ Flags:
 		logger.Info("store flushed",
 			"path", *storePath, "clusters", ts.SegEntries,
 			"segments", ts.Segments, "bytes", ts.SegBytes)
+	}
+}
+
+// HTTP connection limits. A client that never finishes its request
+// headers, or parks an idle keep-alive connection, would otherwise hold
+// a connection and a goroutine forever.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around mux. ReadTimeout
+// and WriteTimeout stay zero: /subscribe streams for as long as the
+// subscriber stays connected.
+func newHTTPServer(mux http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
 	}
 }
 

@@ -208,3 +208,20 @@ func TestHTTPSubscribeStream(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPServerTimeouts pins the server's connection limits: header
+// reads and idle keep-alives are bounded, while the request-wide read
+// and write deadlines stay off so /subscribe streams are never cut.
+func TestHTTPServerTimeouts(t *testing.T) {
+	mux := http.NewServeMux()
+	srv := newHTTPServer(mux)
+	if srv.Handler != mux {
+		t.Fatal("server does not serve the given mux")
+	}
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("unbounded header read %v or idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("read %v / write %v timeout would cut /subscribe streams", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

@@ -760,52 +760,12 @@ func (b *Base) rebuildLocked() error {
 	return nil
 }
 
-// SearchLocation visits archived entries whose MBR intersects the query
-// box (the position-sensitive filter phase). The callback runs against a
-// snapshot — never under the base lock — so it may freely call Put,
-// Remove, or further searches; mutations it makes are not reflected in
-// the iteration in progress.
-func (b *Base) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	b.Snapshot().SearchLocation(q, visit)
-}
-
-// SearchFeatures visits archived entries whose feature vector lies inside
-// [lo, hi] (the non-position-sensitive filter phase). The callback runs
-// against a snapshot; see SearchLocation for the reentrancy contract.
-func (b *Base) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	b.Snapshot().SearchFeatures(lo, hi, visit)
-}
-
 // All visits every archived entry in FIFO order (diagnostics,
 // persistence, linear-scan baselines). The callback runs against a
-// snapshot; see SearchLocation for the reentrancy contract.
+// snapshot, never under the base lock, so it may call Put or Remove
+// (the running iteration does not see the mutation).
 func (b *Base) All(visit func(*Entry) bool) {
 	b.Snapshot().All(visit)
-}
-
-// Searcher is one filter-phase shard of the pattern base: something the
-// matcher can probe for location or feature candidates. A Snapshot's
-// FilterShards splits the base into one memory-tier shard plus one per
-// disk segment, each independently searchable, so the filter phase can
-// fan out across them in parallel.
-type Searcher interface {
-	SearchLocation(q geom.MBR, visit func(*Entry) bool)
-	SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool)
-}
-
-// GatedSearcher is a Searcher that can additionally run a cheap exact
-// gate over the candidate's feature vector between the range test and
-// the visit, and report how many live entries passed the range test
-// regardless of the gate (the filter-phase candidate count). Pushing the
-// gate below the visit lets disk shards reject candidates straight off
-// their columnar scan without materializing an Entry per rejection; the
-// matcher type-asserts for this and falls back to plain Search* plus an
-// outer gate otherwise. A nil gate admits everything. Iteration stops
-// early if visit returns false (the returned count is then partial).
-type GatedSearcher interface {
-	Searcher
-	GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) int
-	GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) int
 }
 
 // TierStats reports the split of the archived population across the

@@ -230,7 +230,7 @@ func TestSearchLocationAndFeatures(t *testing.T) {
 	// Location search: querying an entry's own MBR must return it.
 	for _, in := range infos[:5] {
 		found := false
-		b.SearchLocation(in.e.MBR, func(e *Entry) bool {
+		searchLocation(b.Snapshot(), in.e.MBR, func(e *Entry) bool {
 			if e.ID == in.id {
 				found = true
 				return false
@@ -249,7 +249,7 @@ func TestSearchLocationAndFeatures(t *testing.T) {
 			lo[d], hi[d] = v[d]*0.99, v[d]*1.01+1e-9
 		}
 		found := false
-		b.SearchFeatures(lo, hi, func(e *Entry) bool {
+		searchFeatures(b.Snapshot(), lo, hi, func(e *Entry) bool {
 			if e.ID == in.id {
 				found = true
 				return false
@@ -375,7 +375,7 @@ func TestConcurrentAccess(t *testing.T) {
 	}()
 	for i := 0; i < 100; i++ {
 		b.All(func(e *Entry) bool { return true })
-		b.SearchFeatures([4]float64{0, 0, 0, 0},
+		searchFeatures(b.Snapshot(), [4]float64{0, 0, 0, 0},
 			[4]float64{1e9, 1e9, 1e9, 1e9}, func(e *Entry) bool { return true })
 	}
 	<-done

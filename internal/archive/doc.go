@@ -28,9 +28,9 @@
 //
 //   - Entry values are immutable after Put returns; they are shared by
 //     reference across the base and all snapshots.
-//   - SearchLocation, SearchFeatures and All run their callbacks against
-//     a snapshot, never under the base lock, so a callback may call Put
-//     or Remove (the running iteration does not see the mutation).
+//   - Shard.Probe and All run their callbacks against a snapshot, never
+//     under the base lock, so a callback may call Put or Remove (the
+//     running iteration does not see the mutation).
 //   - PutBatch archives one window's clusters under one lock
 //     acquisition; it is byte-for-byte equivalent to a sequential Put
 //     loop (same policy decisions, ids and evictions).
@@ -46,9 +46,14 @@
 // (Capacity) demote the oldest entries — always the oldest, so every
 // disk entry predates every memory entry and FIFO order spans the tiers
 // — as one segment per demotion batch. Snapshots pin the segment set
-// along with the generation, and FilterShards exposes the tiers as
-// disjoint Searchers (the memory tier plus one per segment) so the
-// matcher's filter phase can probe them in parallel. Disk-resident
+// along with the generation, and Snapshot.Shards exposes the tiers as
+// disjoint Shards (the memory tier plus one per segment) so the
+// matcher's filter phase can probe them in parallel. Shard.Probe is the
+// one filter-phase entry point: it applies the range test (MBR overlap
+// or the feature box), the tombstone mask, a segment's zone test and the
+// caller's exact feature gate in one pass, materializes an Entry only
+// for gate survivors, and reports candidates, kept and zone-skipped
+// counts from that same pass. Disk-resident
 // entries surface with their footer-indexed features only (nil Summary);
 // the refine phase loads their cells lazily via Entry.LoadSummary, so a
 // query's resident cost is its candidates, not the history.

@@ -167,299 +167,141 @@ func (s *Snapshot) Get(id int64) *Entry {
 	return nil
 }
 
-// memShard is the memory tier as a filter shard: the frozen generation's
-// indices plus linear scans of the in-flight demotions and the delta.
-type memShard struct{ s *Snapshot }
-
-// SearchLocation visits memory-tier entries whose MBR intersects the
-// query box. Iteration stops early if visit returns false.
-func (m memShard) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	m.GatedSearchLocation(q, nil, visit)
+// Probe is one filter-phase request against a Shard: a range test —
+// MBR overlap with MBR when Location is set (the position-sensitive
+// probe), the inclusive feature box [Lo, Hi] otherwise — followed by the
+// exact cluster-level Gate over each candidate's feature vector (nil
+// admits every candidate).
+type Probe struct {
+	Location bool
+	MBR      geom.MBR
+	Lo, Hi   [4]float64
+	Gate     func([4]float64) bool
 }
 
-// GatedSearchLocation visits memory-tier entries whose MBR intersects
-// the query box and whose feature vector passes gate; it returns the
-// number of live intersecting entries regardless of the gate.
-func (m memShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	s := m.s
-	probed := 0
-	stopped := false
-	s.gen.loc.SearchIntersect(q, func(it rtree.Item) bool {
-		if s.isDead(it.ID) {
-			return true
-		}
-		probed++
-		e := s.gen.entries[it.ID]
-		if gate != nil && !gate(e.Features.Vector()) {
-			return true
-		}
-		if !visit(e) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return probed
+// inRange reports whether an entry with the given MBR and feature vector
+// passes the probe's range test.
+func (p *Probe) inRange(mbr geom.MBR, v [4]float64) bool {
+	if p.Location {
+		return mbr.Intersects(p.MBR)
 	}
-	for _, list := range [2][]*Entry{s.demoting, s.delta} {
-		for _, e := range list {
-			if !e.MBR.Intersects(q) {
-				continue
-			}
-			probed++
-			if gate != nil && !gate(e.Features.Vector()) {
-				continue
-			}
-			if !visit(e) {
-				return probed
-			}
-		}
-	}
-	return probed
-}
-
-// SearchFeatures visits memory-tier entries whose feature vector lies
-// inside [lo, hi]. Iteration stops early if visit returns false.
-func (m memShard) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	m.GatedSearchFeatures(lo, hi, nil, visit)
-}
-
-// GatedSearchFeatures visits memory-tier entries whose feature vector
-// lies inside [lo, hi] and passes gate; it returns the number of live
-// in-range entries regardless of the gate.
-func (m memShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	s := m.s
-	probed := 0
-	stopped := false
-	s.gen.feat.Search(lo, hi, func(fe featidx.Entry) bool {
-		if s.isDead(fe.ID) {
-			return true
-		}
-		probed++
-		e := s.gen.entries[fe.ID]
-		if gate != nil && !gate(e.Features.Vector()) {
-			return true
-		}
-		if !visit(e) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return probed
-	}
-	inRange := func(v [4]float64) bool {
-		for d := 0; d < 4; d++ {
-			if v[d] < lo[d] || v[d] > hi[d] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, list := range [2][]*Entry{s.demoting, s.delta} {
-		for _, e := range list {
-			v := e.Features.Vector()
-			if !inRange(v) {
-				continue
-			}
-			probed++
-			if gate != nil && !gate(v) {
-				continue
-			}
-			if !visit(e) {
-				return probed
-			}
-		}
-	}
-	return probed
-}
-
-// segShard is one disk segment as a filter shard, masked by the store
-// tombstones pinned in the snapshot's view. Entries it surfaces load
-// their summaries through the snapshot's decoded-summary cache.
-type segShard struct {
-	seg   *segstore.Segment
-	view  *segstore.View
-	cache *sumcache.Cache
-}
-
-// SearchLocation visits the segment's live records whose MBR intersects
-// the query box.
-func (g segShard) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
-	g.seg.SearchLocation(q, func(r segstore.Record) bool {
-		if g.view.Dead(r.ID) {
-			return true
-		}
-		return visit(segEntry(g.cache, g.seg, r))
-	})
-}
-
-// SearchFeatures visits the segment's live records whose feature vector
-// lies inside [lo, hi].
-func (g segShard) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	g.seg.SearchFeatures(lo, hi, func(r segstore.Record) bool {
-		if g.view.Dead(r.ID) {
-			return true
-		}
-		return visit(segEntry(g.cache, g.seg, r))
-	})
-}
-
-// GatedSearchLocation visits the segment's live records whose MBR
-// intersects the query box and whose feature vector passes gate; it
-// returns the number of live intersecting records regardless of the
-// gate. On v3 segments the range test and the gate both run off the
-// columnar scan, and gate rejections never materialize an Entry.
-func (g segShard) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	probed := 0
-	g.seg.GatedSearchLocation(q, nil, func(r segstore.Record) bool {
-		if g.view.Dead(r.ID) {
-			return true
-		}
-		probed++
-		if gate != nil && !gate(r.Feat) {
-			return true
-		}
-		return visit(segEntry(g.cache, g.seg, r))
-	})
-	return probed
-}
-
-// GatedSearchFeatures visits the segment's live records whose feature
-// vector lies inside [lo, hi] and passes gate; it returns the number of
-// live in-range records regardless of the gate.
-func (g segShard) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(*Entry) bool) int {
-	probed := 0
-	g.seg.GatedSearchFeatures(lo, hi, nil, func(r segstore.Record) bool {
-		if g.view.Dead(r.ID) {
-			return true
-		}
-		probed++
-		if gate != nil && !gate(r.Feat) {
-			return true
-		}
-		return visit(segEntry(g.cache, g.seg, r))
-	})
-	return probed
-}
-
-// ZoneIntersectsLocation reports whether the query box can intersect
-// the segment's zone (the union MBR of its records). A false answer is
-// exactly the condition under which the segment's own gated search
-// skips the whole scan; exposing it separately lets per-query tracing
-// attribute skips without re-running the probe.
-func (g segShard) ZoneIntersectsLocation(q geom.MBR) bool {
-	mbr, _, _ := g.seg.Zone()
-	return mbr.Intersects(q)
-}
-
-// ZoneIntersectsFeatures reports whether the feature range [lo, hi] can
-// intersect the segment's per-feature zone bounds; see
-// ZoneIntersectsLocation for the tracing contract.
-func (g segShard) ZoneIntersectsFeatures(lo, hi [4]float64) bool {
-	_, fmin, fmax := g.seg.Zone()
 	for d := 0; d < 4; d++ {
-		if hi[d] < fmin[d] || lo[d] > fmax[d] {
+		if v[d] < p.Lo[d] || v[d] > p.Hi[d] {
 			return false
 		}
 	}
 	return true
 }
 
-// ShardInfo identifies a filter shard for per-query span tracing: a
-// human-readable label (the segment file's basename, or "mem" for the
-// memory tier) and the segment format version (0 when the shard is not
-// a disk segment). Purely descriptive — it never affects matching.
-type ShardInfo interface {
-	ShardInfo() (label string, format int)
+// ProbeResult reports what one Shard.Probe did.
+type ProbeResult struct {
+	// Candidates counts live entries that passed the range test,
+	// regardless of the gate (the index-candidate count).
+	Candidates int
+	// Kept counts candidates that passed the gate and were visited.
+	Kept int
+	// Zoned is set for shards with a filter zone (disk segments).
+	Zoned bool
+	// ZoneSkipped is set when the zone excluded the probe's range, so
+	// the shard was answered without scanning it.
+	ZoneSkipped bool
 }
 
-// ShardInfo labels the memory-tier shard.
-func (m memShard) ShardInfo() (string, int) { return "mem", 0 }
+// Shard is one independently probeable part of a snapshot: the memory
+// tier, or one disk segment masked by the store tombstones pinned in the
+// snapshot's view. Shards of one snapshot are disjoint (an id appears in
+// exactly one) and each is safe for concurrent probing.
+type Shard struct {
+	// Label identifies the shard in per-query traces: "mem" for the
+	// memory tier, the segment file's basename otherwise.
+	Label string
+	// Format is the segment's on-disk format version (0 for the memory
+	// tier).
+	Format int
 
-// ShardInfo labels a disk-segment shard with its file basename and
-// on-disk format version.
-func (g segShard) ShardInfo() (string, int) {
-	return filepath.Base(g.seg.Path()), g.seg.Format()
+	snap *Snapshot
+	seg  *segstore.Segment // nil for the memory tier
 }
 
-// ZoneSearcher is implemented by disk-segment filter shards: a cheap,
-// probe-free answer to "could this query touch the shard at all?",
-// mirroring the zone test the shard's own gated searches apply. The
-// matcher type-asserts for it to count segments probed vs skipped per
-// query; shards without zones (the memory tier) simply don't implement
-// it.
-type ZoneSearcher interface {
-	ZoneIntersectsLocation(q geom.MBR) bool
-	ZoneIntersectsFeatures(lo, hi [4]float64) bool
-}
-
-// FilterShards splits the snapshot into independently searchable filter
-// shards: the memory tier first, then one shard per disk segment in
-// archive order. Shards are disjoint (an id appears in exactly one) and
-// each is safe for concurrent probing, so a matcher may fan its filter
-// phase out across them — internal/match does exactly that.
-func (s *Snapshot) FilterShards() []Searcher {
-	segs := s.segShards()
-	shards := make([]Searcher, 0, 1+len(segs))
-	shards = append(shards, memShard{s})
-	for _, sh := range segs {
-		shards = append(shards, sh)
+// Shards splits the snapshot into its filter shards: the memory tier
+// first, then one shard per disk segment in archive order. A matcher may
+// fan its filter phase out across them — internal/match does exactly
+// that.
+func (s *Snapshot) Shards() []Shard {
+	var segs []*segstore.Segment
+	if s.view != nil {
+		segs = s.view.Segments()
+	}
+	shards := make([]Shard, 0, 1+len(segs))
+	shards = append(shards, Shard{Label: "mem", snap: s})
+	for _, seg := range segs {
+		shards = append(shards, Shard{Label: filepath.Base(seg.Path()), Format: seg.Format(), snap: s, seg: seg})
 	}
 	return shards
 }
 
-// segShards returns the disk tier's filter shards (nil for memory-only
-// bases).
-func (s *Snapshot) segShards() []segShard {
-	if s.view == nil {
-		return nil
+// Probe visits the shard's live entries that pass p's range test and
+// gate. Tombstoned entries are masked, a disk segment whose zone cannot
+// meet the range is skipped whole, and gate rejections never materialize
+// an Entry (on v3 segments the range test and the gate run off one
+// columnar scan). Iteration stops early if visit returns false; the
+// counts are then partial. visit runs against the immutable snapshot,
+// never under the base lock, so it may call Put or Remove.
+func (sh Shard) Probe(p Probe, visit func(*Entry) bool) ProbeResult {
+	var res ProbeResult
+	if sh.seg != nil {
+		res.Zoned = true
+		view, cache := sh.snap.view, sh.snap.cache
+		scan := func(r segstore.Record) bool {
+			if view.Dead(r.ID) {
+				return true
+			}
+			res.Candidates++
+			if p.Gate != nil && !p.Gate(r.Feat) {
+				return true
+			}
+			res.Kept++
+			return visit(segEntry(cache, sh.seg, r))
+		}
+		if p.Location {
+			_, res.ZoneSkipped = sh.seg.GatedSearchLocation(p.MBR, nil, scan)
+		} else {
+			_, res.ZoneSkipped = sh.seg.GatedSearchFeatures(p.Lo, p.Hi, nil, scan)
+		}
+		return res
 	}
-	segs := s.view.Segments()
-	out := make([]segShard, len(segs))
-	for i, seg := range segs {
-		out[i] = segShard{seg: seg, view: s.view, cache: s.cache}
-	}
-	return out
-}
 
-// SearchLocation visits entries whose MBR intersects the query box: the
-// disk segments (oldest history first), then the frozen generation via
-// its R-tree, then the delta by linear scan. Iteration stops early if
-// visit returns false.
-func (s *Snapshot) SearchLocation(q geom.MBR, visit func(*Entry) bool) {
+	s := sh.snap
 	stopped := false
-	wrapped := func(e *Entry) bool {
+	offer := func(e *Entry) bool {
+		res.Candidates++
+		if p.Gate != nil && !p.Gate(e.Features.Vector()) {
+			return true
+		}
+		res.Kept++
 		stopped = !visit(e)
 		return !stopped
 	}
-	for _, sh := range s.segShards() {
-		sh.SearchLocation(q, wrapped)
-		if stopped {
-			return
+	if p.Location {
+		s.gen.loc.SearchIntersect(p.MBR, func(it rtree.Item) bool {
+			return s.isDead(it.ID) || offer(s.gen.entries[it.ID])
+		})
+	} else {
+		s.gen.feat.Search(p.Lo, p.Hi, func(fe featidx.Entry) bool {
+			return s.isDead(fe.ID) || offer(s.gen.entries[fe.ID])
+		})
+	}
+	for _, list := range [2][]*Entry{s.demoting, s.delta} {
+		for _, e := range list {
+			if stopped {
+				return res
+			}
+			if p.inRange(e.MBR, e.Features.Vector()) {
+				offer(e)
+			}
 		}
 	}
-	memShard{s}.SearchLocation(q, wrapped)
-}
-
-// SearchFeatures visits entries whose feature vector lies inside the
-// inclusive hyper-rectangle [lo, hi], disk segments first, then the
-// memory tier. Iteration stops early if visit returns false.
-func (s *Snapshot) SearchFeatures(lo, hi [4]float64, visit func(*Entry) bool) {
-	stopped := false
-	wrapped := func(e *Entry) bool {
-		stopped = !visit(e)
-		return !stopped
-	}
-	for _, sh := range s.segShards() {
-		sh.SearchFeatures(lo, hi, wrapped)
-		if stopped {
-			return
-		}
-	}
-	memShard{s}.SearchFeatures(lo, hi, wrapped)
+	return res
 }
 
 // All visits every entry in FIFO order: the disk segments (all disk

@@ -60,8 +60,8 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestMutateDuringVisit is the regression test for the callback
-// self-deadlock: Put and Remove called from inside All / SearchLocation /
-// SearchFeatures visits must work (they used to deadlock on b.mu).
+// self-deadlock: Put and Remove called from inside All and shard probe
+// visits must work (they used to deadlock on b.mu).
 func TestMutateDuringVisit(t *testing.T) {
 	sums := fixtureSummaries(t, 30, 32)
 	b, _ := New(Config{Dim: 2})
@@ -82,8 +82,8 @@ func TestMutateDuringVisit(t *testing.T) {
 		return true
 	}
 	b.All(put)
-	b.SearchLocation(b.Get(0).MBR, put)
-	b.SearchFeatures([4]float64{0, 0, 0, 0}, [4]float64{1e9, 1e9, 1e9, 1e9}, put)
+	searchLocation(b.Snapshot(), b.Get(0).MBR, put)
+	searchFeatures(b.Snapshot(), [4]float64{0, 0, 0, 0}, [4]float64{1e9, 1e9, 1e9, 1e9}, put)
 	if b.Len() <= 10 {
 		t.Fatalf("Len = %d, puts from visits were lost", b.Len())
 	}
@@ -230,7 +230,7 @@ func TestGenerationFoldConsistency(t *testing.T) {
 	for _, l := range fifo[:20] {
 		e := b.Get(l.id)
 		found := false
-		b.SearchLocation(e.MBR, func(x *Entry) bool {
+		searchLocation(b.Snapshot(), e.MBR, func(x *Entry) bool {
 			if x.ID == l.id {
 				found = true
 				return false
@@ -246,7 +246,7 @@ func TestGenerationFoldConsistency(t *testing.T) {
 			lo[d], hi[d] = v[d]*0.99, v[d]*1.01+1e-9
 		}
 		found = false
-		b.SearchFeatures(lo, hi, func(x *Entry) bool {
+		searchFeatures(b.Snapshot(), lo, hi, func(x *Entry) bool {
 			if x.ID == l.id {
 				found = true
 				return false
@@ -305,7 +305,7 @@ func TestConcurrentPutBatchSearch(t *testing.T) {
 					t.Errorf("snapshot All visited %d, Len %d", n, snap.Len())
 					return
 				}
-				snap.SearchFeatures([4]float64{0, 0, 0, 0},
+				searchFeatures(snap, [4]float64{0, 0, 0, 0},
 					[4]float64{1e9, 1e9, 1e9, 1e9}, func(e *Entry) bool { return true })
 			}
 		}(r)

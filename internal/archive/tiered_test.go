@@ -103,7 +103,7 @@ func TestTieredEquivalence(t *testing.T) {
 	probe := memSnap.Get(3)
 	ids := func(s *Snapshot, q geom.MBR) map[int64]bool {
 		out := map[int64]bool{}
-		s.SearchLocation(q, func(e *Entry) bool { out[e.ID] = true; return true })
+		searchLocation(s, q, func(e *Entry) bool { out[e.ID] = true; return true })
 		return out
 	}
 	am, bm := ids(memSnap, probe.MBR), ids(tierSnap, probe.MBR)
@@ -119,7 +119,7 @@ func TestTieredEquivalence(t *testing.T) {
 	hi := probe.Features.Vector()
 	fids := func(s *Snapshot) map[int64]bool {
 		out := map[int64]bool{}
-		s.SearchFeatures(lo, hi, func(e *Entry) bool { out[e.ID] = true; return true })
+		searchFeatures(s, lo, hi, func(e *Entry) bool { out[e.ID] = true; return true })
 		return out
 	}
 	af, bf := fids(memSnap), fids(tierSnap)
@@ -132,14 +132,14 @@ func TestTieredEquivalence(t *testing.T) {
 		}
 	}
 
-	// FilterShards covers both tiers disjointly.
-	shards := tierSnap.FilterShards()
+	// Shards covers both tiers disjointly.
+	shards := tierSnap.Shards()
 	if len(shards) < 2 {
 		t.Fatalf("expected memory + segment shards, got %d", len(shards))
 	}
 	seen := map[int64]int{}
 	for _, sh := range shards {
-		sh.SearchFeatures([4]float64{0, 0, 0, 0}, probe.Features.Vector(), func(e *Entry) bool {
+		sh.Probe(Probe{Hi: probe.Features.Vector()}, func(e *Entry) bool {
 			seen[e.ID]++
 			return true
 		})

@@ -139,7 +139,7 @@ func RunFig9(cfg Fig9Config) ([]Fig9Result, error) {
 		}
 
 		// SGS: the real pipeline with threshold 1 (top-k regardless).
-		ms, _, err := match.Run(st.Base, match.Query{Target: summary, Threshold: 1, Limit: cfg.TopK})
+		ms, _, err := match.Run(st.Base.Snapshot(), match.Query{Target: summary, Threshold: 1, Limit: cfg.TopK})
 		if err != nil {
 			return nil, err
 		}

@@ -5,12 +5,11 @@ import (
 	"sync/atomic"
 
 	"streamsum/internal/archive"
-	"streamsum/internal/geom"
 	"streamsum/internal/par"
 	"streamsum/internal/sgs"
 )
 
-// Any reports, for each target, whether src holds at least one entry
+// Any reports, for each target, whether snap holds at least one entry
 // within q.Threshold — the existence form of Run, evaluated for a whole
 // batch of targets in one filter-and-refine pass. The evolution-driven
 // archiver uses it to novelty-test a completed window's summaries with
@@ -22,7 +21,7 @@ import (
 // circuiting a target's remaining pairs once one match is found. The
 // returned flags are byte-identical at every worker count (existence is
 // order-independent); q.Target and q.Limit are ignored.
-func Any(src Source, targets []*sgs.Summary, q Query) ([]bool, error) {
+func Any(snap *archive.Snapshot, targets []*sgs.Summary, q Query) ([]bool, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
@@ -46,27 +45,18 @@ func Any(src Source, targets []*sgs.Summary, q Query) ([]bool, error) {
 		budget = DefaultAlignBudget
 	}
 
-	feats := make([][4]float64, len(targets))
-	mbrs := make([]geom.MBR, len(targets))
-	los := make([][4]float64, len(targets))
-	his := make([][4]float64, len(targets))
+	probes := make([]archive.Probe, len(targets))
 	for i, t := range targets {
-		feats[i] = t.Features().Vector()
-		mbrs[i] = t.MBR()
-		los[i], his[i] = FeatureRanges(feats[i], w, q.Threshold)
+		probes[i] = newProbe(t.Features().Vector(), t.MBR(), w, q.Threshold)
 	}
 
 	// --- Phase 1: filter — every (target, shard) probe is one task --------
 	// The exact cluster-level feature gate runs inside the probe (fused
-	// filter; see filterOne), so only surviving pairs ever materialize.
-	shards := filterShards(src)
+	// filter), so only surviving pairs ever materialize.
+	shards := snap.Shards()
 	cands := make([][]*archive.Entry, len(targets)*len(shards))
 	par.ForEach(q.Workers, len(cands), func(k int) {
-		ti, si := k/len(shards), k%len(shards)
-		gate := func(v [4]float64) bool {
-			return FeatureDistance(feats[ti], v, w) <= q.Threshold
-		}
-		cands[k], _ = filterOne(shards[si], gate, w, mbrs[ti], los[ti], his[ti])
+		cands[k], _ = probeShard(shards[k%len(shards)], probes[k/len(shards)])
 	})
 
 	// Flatten the surviving pairs.

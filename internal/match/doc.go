@@ -16,13 +16,17 @@
 // Query execution is filter-and-refine, organized as a three-phase
 // pipeline mirroring the extractor's output stage:
 //
-//  1. Filter — probe the pattern base's locational (R-tree) or
-//     non-locational (4-D grid) index with ranges derived from the
-//     distance threshold, collecting candidate entries (sequential; the
-//     probe is cheap).
+//  1. Filter — probe every shard of the snapshot (the memory tier and
+//     each disk segment) in parallel across Query.Workers goroutines,
+//     one archive.Shard.Probe each: MBR overlap under a
+//     position-sensitive metric, otherwise the feature box derived from
+//     the distance threshold, gated by the exact cluster-level feature
+//     distance. Only gate survivors materialize an entry; they merge in
+//     id order, so the candidate set is independent of shard layout and
+//     scheduling.
 //  2. Refine — evaluate the expensive grid-cell-level match for every
-//     candidate surviving the exact cluster-level feature distance: the
-//     best alignment found by an A*-style anytime search
+//     filter survivor: the best alignment found by an A*-style anytime
+//     search
 //     (position-insensitive case) or the identity alignment
 //     (position-sensitive case). This phase fans out across
 //     Query.Workers goroutines; candidates are independent, so each
@@ -30,15 +34,17 @@
 //  3. Order — keep survivors within the threshold, sort by (distance,
 //     id), apply the top-k limit (sequential).
 //
-// Results are byte-identical at every worker count: the parallel phase
-// computes the same float per candidate regardless of scheduling, and
-// the final total order normalizes collection order.
+// Results are byte-identical at every worker count: the parallel phases
+// compute the same candidates and the same float per candidate
+// regardless of scheduling, and the final total order normalizes
+// collection order.
 //
 // # Concurrency against the base
 //
-// Run executes against a Source — either a pinned *archive.Snapshot
-// (point-in-time view, the facade's choice) or a *archive.Base (each
-// probe takes a fresh snapshot). Either way the query never holds the
-// base's lock, so analysts can hammer the base while shards append; see
-// the internal/archive package comment for the isolation contract.
+// Run and Any execute against one pinned *archive.Snapshot, so every
+// shard probe of a query sees the same point-in-time archive state;
+// callers holding a *archive.Base pass b.Snapshot(). The query never
+// holds the base's lock, so analysts can hammer the base while shards
+// append; see the internal/archive package comment for the isolation
+// contract.
 package match

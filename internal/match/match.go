@@ -13,26 +13,6 @@ import (
 	"streamsum/internal/trace"
 )
 
-// Source is the read view a matching query executes against. Both
-// *archive.Base (every index probe pins a fresh snapshot) and
-// *archive.Snapshot (one point-in-time view across the whole query)
-// satisfy it; pass a snapshot when the query must not observe concurrent
-// archiving.
-type Source interface {
-	SearchLocation(q geom.MBR, visit func(*archive.Entry) bool)
-	SearchFeatures(lo, hi [4]float64, visit func(*archive.Entry) bool)
-}
-
-// ShardedSource is a Source that can split itself into independently
-// searchable filter shards (archive.Snapshot: the memory tier plus one
-// shard per disk segment). When a source implements it, the filter
-// phase probes the shards in parallel across Query.Workers instead of
-// sequentially — shards are disjoint, so the candidate set (and
-// therefore the result) is identical either way.
-type ShardedSource interface {
-	FilterShards() []archive.Searcher
-}
-
 // DefaultAlignBudget is the alignment-search budget used when
 // Query.AlignBudget is unset.
 const DefaultAlignBudget = 64
@@ -115,55 +95,32 @@ type Stats struct {
 	Refined         int
 }
 
-// filterShards resolves the source into its filter shards: one per tier
-// segment for a ShardedSource, the source itself otherwise.
-func filterShards(src Source) []archive.Searcher {
-	if ss, ok := src.(ShardedSource); ok {
-		if shards := ss.FilterShards(); len(shards) > 0 {
-			return shards
-		}
-	}
-	return []archive.Searcher{src}
-}
-
-// filterOne probes one shard for the query's candidates, applying the
-// exact cluster-level gate during the probe, and returns the gate
-// survivors plus the raw index-candidate count. Shards that implement
-// archive.GatedSearcher (snapshot tiers) run the gate below the index —
-// a disk shard's columnar scan rejects candidates without materializing
-// an Entry; other shards get the same gate applied around a plain probe.
-func filterOne(sh archive.Searcher, gate func([4]float64) bool, w Weights, targetMBR geom.MBR, lo, hi [4]float64) ([]*archive.Entry, int) {
+// probeShard runs one shard probe, collecting the visited entries.
+func probeShard(sh archive.Shard, p archive.Probe) ([]*archive.Entry, archive.ProbeResult) {
 	var out []*archive.Entry
-	visit := func(e *archive.Entry) bool {
+	res := sh.Probe(p, func(e *archive.Entry) bool {
 		out = append(out, e)
 		return true
+	})
+	return out, res
+}
+
+// newProbe builds the filter-phase probe for one target: MBR overlap
+// under a position-sensitive metric (non-overlapping clusters have
+// Dist_location = 1 ≥ any threshold < 1, so the overlap probe is exact
+// for the location term), the threshold-derived feature box otherwise,
+// gated by the exact cluster-level feature distance.
+func newProbe(feat [4]float64, mbr geom.MBR, w Weights, threshold float64) archive.Probe {
+	lo, hi := FeatureRanges(feat, w, threshold)
+	return archive.Probe{
+		Location: w.PositionSensitive,
+		MBR:      mbr,
+		Lo:       lo,
+		Hi:       hi,
+		Gate: func(v [4]float64) bool {
+			return FeatureDistance(feat, v, w) <= threshold
+		},
 	}
-	if gs, ok := sh.(archive.GatedSearcher); ok {
-		var probed int
-		if w.PositionSensitive {
-			// Non-overlapping clusters have Dist_location = 1 ≥ any
-			// threshold < 1, so the overlap probe is exact for the
-			// location term.
-			probed = gs.GatedSearchLocation(targetMBR, gate, visit)
-		} else {
-			probed = gs.GatedSearchFeatures(lo, hi, gate, visit)
-		}
-		return out, probed
-	}
-	probed := 0
-	outer := func(e *archive.Entry) bool {
-		probed++
-		if gate(e.Features.Vector()) {
-			out = append(out, e)
-		}
-		return true
-	}
-	if w.PositionSensitive {
-		sh.SearchLocation(targetMBR, outer)
-	} else {
-		sh.SearchFeatures(lo, hi, outer)
-	}
-	return out, probed
 }
 
 // RefineDistance is the grid-cell-level distance the refine phase
@@ -177,12 +134,12 @@ func RefineDistance(target, cand *sgs.Summary, w Weights, budget int) float64 {
 	return d
 }
 
-// Run executes the query against src and returns matches sorted by
-// ascending distance. Both the filter phase (one index probe per shard
-// of a ShardedSource) and the refine phase (one grid-cell-level match
-// per candidate) fan out across Query.Workers goroutines; results are
+// Run executes the query against snap and returns matches sorted by
+// ascending distance. Both the filter phase (one gated probe per shard
+// of the snapshot) and the refine phase (one grid-cell-level match per
+// candidate) fan out across Query.Workers goroutines; results are
 // byte-identical at every worker count and every shard layout.
-func Run(src Source, q Query) ([]Match, Stats, error) {
+func Run(snap *archive.Snapshot, q Query) ([]Match, Stats, error) {
 	var st Stats
 	if q.Target == nil || q.Target.NumCells() == 0 {
 		return nil, st, fmt.Errorf("match: empty target")
@@ -202,86 +159,50 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 		budget = DefaultAlignBudget
 	}
 
-	targetFeat := q.Target.Features().Vector()
-	targetMBR := q.Target.MBR()
-	lo, hi := FeatureRanges(targetFeat, w, q.Threshold)
-
-	// --- Phase 1: filter — parallel gated index probes across shards ------
-	// Shards are disjoint and independently searchable (the memory tier
+	// --- Phase 1: filter — parallel gated probes across shards ------------
+	// Shards are disjoint and independently probeable (the memory tier
 	// plus one per disk segment); each task probes one shard into its own
 	// slot, applying the exact cluster-level feature distance as a gate
 	// during the probe (fused filter: on columnar disk shards the range
 	// test and the gate run off one sequential scan, and only survivors
 	// materialize an Entry). Survivors are then merged in id order so
 	// every later phase is independent of the shard layout and probe
-	// timing; the reported candidate counts are gate-independent, so the
-	// fused path's statistics equal the probe-then-gate path's.
-	gate := func(v [4]float64) bool {
-		return FeatureDistance(targetFeat, v, w) <= q.Threshold
-	}
+	// timing; the reported candidate counts are gate-independent.
+	probe := newProbe(q.Target.Features().Vector(), q.Target.MBR(), w, q.Threshold)
 	metricQueries.Inc()
 	tr := q.Trace
 	filterSpan := tr.Start("filter")
 	filterStart := time.Now()
-	shards := filterShards(src)
+	shards := snap.Shards()
 	st.FilterShards = len(shards)
-	// Zone admission per shard (-1 no zone, 0 skipped, 1 probed), only
-	// resolved when tracing: these re-run the zone tests the disk shards'
-	// own searches apply, so the trace can say which segments the query
-	// actually scanned. The checks are probe-free and do not change what
-	// filterOne does.
-	var zone []int8
-	if tr != nil {
-		zone = make([]int8, len(shards))
-		segProbed, segSkipped := 0, 0
-		for i, sh := range shards {
-			zone[i] = -1
-			zs, ok := sh.(archive.ZoneSearcher)
-			if !ok {
-				continue
-			}
-			admitted := zs.ZoneIntersectsFeatures(lo, hi)
-			if w.PositionSensitive {
-				admitted = zs.ZoneIntersectsLocation(targetMBR)
-			}
-			if admitted {
-				zone[i] = 1
-				segProbed++
-			} else {
-				zone[i] = 0
-				segSkipped++
-			}
-		}
-		filterSpan.SetInt("segments_probed", int64(segProbed))
-		filterSpan.SetInt("segments_skipped", int64(segSkipped))
-	}
 	perShard := make([][]*archive.Entry, len(shards))
-	probed := make([]int, len(shards))
+	results := make([]archive.ProbeResult, len(shards))
 	par.ForEach(q.Workers, len(shards), func(i int) {
-		if tr == nil {
-			perShard[i], probed[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
-			return
-		}
 		sp := filterSpan.Child("shard")
-		if si, ok := shards[i].(archive.ShardInfo); ok {
-			label, format := si.ShardInfo()
-			sp.SetStr("segment", label)
-			if format > 0 {
-				sp.SetInt("format", int64(format))
-			}
+		perShard[i], results[i] = probeShard(shards[i], probe)
+		res := results[i]
+		sp.SetStr("segment", shards[i].Label)
+		if shards[i].Format > 0 {
+			sp.SetInt("format", int64(shards[i].Format))
 		}
-		if zone[i] >= 0 {
-			sp.SetBool("zone_skip", zone[i] == 0)
+		if res.Zoned {
+			sp.SetBool("zone_skip", res.ZoneSkipped)
 		}
-		perShard[i], probed[i] = filterOne(shards[i], gate, w, targetMBR, lo, hi)
-		sp.SetInt("candidates", int64(probed[i]))
-		sp.SetInt("kept", int64(len(perShard[i])))
+		sp.SetInt("candidates", int64(res.Candidates))
+		sp.SetInt("kept", int64(res.Kept))
 		sp.End()
 	})
 	var refine []*archive.Entry
+	segProbed, segSkipped := 0, 0
 	for i, part := range perShard {
 		refine = append(refine, part...)
-		st.IndexCandidates += probed[i]
+		res := results[i]
+		st.IndexCandidates += res.Candidates
+		if res.ZoneSkipped {
+			segSkipped++
+		} else if res.Zoned {
+			segProbed++
+		}
 	}
 	sort.Slice(refine, func(i, j int) bool { return refine[i].ID < refine[j].ID })
 	st.Refined = len(refine)
@@ -289,6 +210,8 @@ func Run(src Source, q Query) ([]Match, Stats, error) {
 	metricFilterSeconds.Observe(filterDur)
 	metricCandidates.Add(uint64(st.IndexCandidates))
 	metricRefined.Add(uint64(st.Refined))
+	filterSpan.SetInt("segments_probed", int64(segProbed))
+	filterSpan.SetInt("segments_skipped", int64(segSkipped))
 	filterSpan.SetInt("shards", int64(st.FilterShards))
 	filterSpan.SetInt("candidates", int64(st.IndexCandidates))
 	filterSpan.End()

@@ -224,7 +224,7 @@ func buildBase(t *testing.T, n int, seed int64) (*archive.Base, []*sgs.Summary) 
 func TestRunFindsArchivedSelf(t *testing.T) {
 	b, sums := buildBase(t, 25, 4)
 	for i := 0; i < 5; i++ {
-		matches, st, err := Run(b, Query{Target: sums[i], Threshold: 0.2})
+		matches, st, err := Run(b.Snapshot(), Query{Target: sums[i], Threshold: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestRunPositionSensitive(t *testing.T) {
 	b, sums := buildBase(t, 20, 5)
 	w := EqualWeights()
 	w.PositionSensitive = true
-	matches, _, err := Run(b, Query{Target: sums[0], Threshold: 0.3, Weights: &w})
+	matches, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 0.3, Weights: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRunPositionSensitive(t *testing.T) {
 
 func TestRunLimitAndOrdering(t *testing.T) {
 	b, sums := buildBase(t, 30, 6)
-	matches, _, err := Run(b, Query{Target: sums[0], Threshold: 1, Limit: 3})
+	matches, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 1, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,14 +284,14 @@ func TestRunLimitAndOrdering(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	b, sums := buildBase(t, 3, 7)
-	if _, _, err := Run(b, Query{Target: nil, Threshold: 0.2}); err == nil {
+	if _, _, err := Run(b.Snapshot(), Query{Target: nil, Threshold: 0.2}); err == nil {
 		t.Error("nil target accepted")
 	}
-	if _, _, err := Run(b, Query{Target: sums[0], Threshold: 2}); err == nil {
+	if _, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 2}); err == nil {
 		t.Error("threshold > 1 accepted")
 	}
 	badW := Weights{Volume: 2}
-	if _, _, err := Run(b, Query{Target: sums[0], Threshold: 0.2, Weights: &badW}); err == nil {
+	if _, _, err := Run(b.Snapshot(), Query{Target: sums[0], Threshold: 0.2, Weights: &badW}); err == nil {
 		t.Error("bad weights accepted")
 	}
 }
@@ -306,10 +306,12 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 		qf := q.Features().Vector()
 		lo, hi := FeatureRanges(qf, w, 0.15)
 		inIndex := make(map[int64]bool)
-		b.SearchFeatures(lo, hi, func(e *archive.Entry) bool {
-			inIndex[e.ID] = true
-			return true
-		})
+		for _, sh := range b.Snapshot().Shards() {
+			sh.Probe(archive.Probe{Lo: lo, Hi: hi}, func(e *archive.Entry) bool {
+				inIndex[e.ID] = true
+				return true
+			})
+		}
 		b.All(func(e *archive.Entry) bool {
 			fd := FeatureDistance(qf, e.Features.Vector(), w)
 			if fd <= 0.15 && !inIndex[e.ID] {
@@ -337,7 +339,7 @@ func TestMatchingSeparatesShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := summarize(t, blob(rng, 250, 90, 90, 0.8), 2)
-	matches, _, err := Run(b, Query{Target: target, Threshold: 1, Limit: 2})
+	matches, _, err := Run(b.Snapshot(), Query{Target: target, Threshold: 1, Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,13 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for qi, q := range queries {
 		q.Workers = 1
-		ref, refStats, err := Run(b, q)
+		ref, refStats, err := Run(b.Snapshot(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
 			q.Workers = workers
-			got, gotStats, err := Run(b, q)
+			got, gotStats, err := Run(b.Snapshot(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestRunOnPinnedSnapshot(t *testing.T) {
 		t.Fatal("pinned snapshot observed concurrent Puts")
 	}
 	// The live base does see them.
-	_, liveStats, err := Run(b, q)
+	_, liveStats, err := Run(b.Snapshot(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunConcurrentWithPuts(t *testing.T) {
 				default:
 				}
 				q := Query{Target: sums[i%len(sums)], Threshold: 0.5, Limit: 5, Workers: 2}
-				if _, _, err := Run(base, q); err != nil {
+				if _, _, err := Run(base.Snapshot(), q); err != nil {
 					t.Error(err)
 					return
 				}

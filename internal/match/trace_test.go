@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"streamsum/internal/archive"
+	"streamsum/internal/obs"
 	"streamsum/internal/sgs"
 	"streamsum/internal/sumcache"
 	"streamsum/internal/trace"
@@ -41,11 +42,11 @@ func buildTieredBase(t *testing.T, n int, seed int64) (*archive.Base, []*sgs.Sum
 
 // runTraced runs one query recording into a standalone trace and
 // returns the finished span tree.
-func runTraced(t *testing.T, src Source, q Query) (trace.TraceData, []Match, Stats) {
+func runTraced(t *testing.T, snap *archive.Snapshot, q Query) (trace.TraceData, []Match, Stats) {
 	t.Helper()
 	tr := trace.New(trace.Match, "query", trace.ID{})
 	q.Trace = tr
-	matches, st, err := Run(src, q)
+	matches, st, err := Run(snap, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +70,30 @@ func attr(t *testing.T, sd *trace.SpanData, key string) int64 {
 	return v
 }
 
+// zoneSkipsTotal reads the process-wide segstore zone-skip counter.
+func zoneSkipsTotal(t *testing.T) int64 {
+	t.Helper()
+	for _, s := range obs.Default.Gather() {
+		if s.Name == "sgs_segstore_zone_skips_total" {
+			return int64(s.Value)
+		}
+	}
+	t.Fatal("sgs_segstore_zone_skips_total not registered")
+	return 0
+}
+
 // TestTraceFilled pins the Query.Trace contract: the query records
 // filter/refine/order phase spans with positive wall times, one child
-// span per filter shard carrying segment identity and zone admission,
-// and refine-phase cache/disk attribution as span attributes.
+// span per filter shard carrying segment identity, zone admission and
+// probe counts that add up to the query's Stats, and refine-phase
+// cache/disk attribution as span attributes.
 func TestTraceFilled(t *testing.T) {
 	b, sums := buildTieredBase(t, 20, 11)
 	snap := b.Snapshot()
 
+	skipsBefore := zoneSkipsTotal(t)
 	td, matches, st := runTraced(t, snap, Query{Target: sums[0], Threshold: 0.2})
+	skipsDelta := zoneSkipsTotal(t) - skipsBefore
 	if len(matches) == 0 {
 		t.Fatal("no matches for the target's own archived copy")
 	}
@@ -89,7 +105,7 @@ func TestTraceFilled(t *testing.T) {
 		t.Fatalf("phase times not recorded: %d %d %d", filter.DurNS, refine.DurNS, order.DurNS)
 	}
 
-	shards := snap.FilterShards()
+	shards := snap.Shards()
 	if got := attr(t, filter, "shards"); got != int64(len(shards)) {
 		t.Fatalf("filter shards attr %d, want %d", got, len(shards))
 	}
@@ -105,11 +121,19 @@ func TestTraceFilled(t *testing.T) {
 	if probed == 0 {
 		t.Fatal("query that found matches probed no segments")
 	}
+	// Skip attribution comes from the probes that actually ran: the
+	// aggregate equals the segstore counter's movement over the query.
+	if skipped != skipsDelta {
+		t.Fatalf("segments_skipped %d, segstore zone skips moved by %d", skipped, skipsDelta)
+	}
 	// Per-shard spans: exactly one memory shard labeled "mem" without a
 	// zone attribute; segment shards carry file label, format, and a
 	// zone_skip flag consistent with the aggregate counts.
 	mem, zoneSkips := 0, int64(0)
+	var candidates, kept int64
 	for i := range kids {
+		candidates += attr(t, &kids[i], "candidates")
+		kept += attr(t, &kids[i], "kept")
 		label, ok := kids[i].Str("segment")
 		if !ok {
 			t.Fatalf("shard span without segment label: %+v", kids[i].Attrs)
@@ -135,6 +159,10 @@ func TestTraceFilled(t *testing.T) {
 	}
 	if zoneSkips != skipped {
 		t.Fatalf("per-shard zone skips %d != aggregate %d", zoneSkips, skipped)
+	}
+	if candidates != int64(st.IndexCandidates) || kept != int64(st.Refined) {
+		t.Fatalf("per-shard candidates %d / kept %d, stats %d / %d",
+			candidates, kept, st.IndexCandidates, st.Refined)
 	}
 
 	// Every refine candidate is disk-resident here, so each one is
@@ -169,10 +197,13 @@ func TestTraceZoneSkip(t *testing.T) {
 	far := summarize(t, blob(rng, 200, 5000, 5000, 0.8), 100)
 	w := EqualWeights()
 	w.PositionSensitive = true
+	skipsBefore := zoneSkipsTotal(t)
 	td, _, _ := runTraced(t, b.Snapshot(), Query{Target: far, Threshold: 0.3, Weights: &w})
+	skipsDelta := zoneSkipsTotal(t) - skipsBefore
 	filter := td.Span("filter")
-	if got := attr(t, filter, "segments_skipped"); got == 0 {
-		t.Fatalf("remote query skipped no segments: %+v", filter.Attrs)
+	if got := attr(t, filter, "segments_skipped"); got == 0 || got != skipsDelta {
+		t.Fatalf("remote query skipped %d segments, segstore zone skips moved by %d: %+v",
+			got, skipsDelta, filter.Attrs)
 	}
 	if got := attr(t, filter, "segments_probed"); got != 0 {
 		t.Fatalf("remote query probed %d segments, want 0", got)

@@ -64,7 +64,7 @@ func BenchmarkScanSegment(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if seg.GatedSearchFeatures(lo, hi, gate, visit) != len(entries) {
+				if n, _ := seg.GatedSearchFeatures(lo, hi, gate, visit); n != len(entries) {
 					b.Fatal("scan missed records")
 				}
 			}

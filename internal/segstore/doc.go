@@ -41,10 +41,14 @@
 //
 // The footer's zone block is the segment's filter zone — the union of
 // its records' MBRs and the per-dimension min/max of their feature
-// vectors. Searches test the query range against the zone first and
-// skip the segment's columns entirely when it cannot match, so a filter
-// phase fanned across many segments touches only the segments whose
-// range overlaps the query.
+// vectors. The gated scans test the query range against the zone first,
+// skip the segment's columns entirely when it cannot match, and return
+// whether they did, so a filter phase fanned across many segments
+// touches only the segments whose range overlaps the query. That one
+// answer per (query, segment) feeds everything that reports skips: the
+// segment scan and zone-skip counters here, and the archive's
+// ProbeResult, from which the matcher's statistics and per-shard trace
+// spans are read.
 //
 // # Legacy formats
 //

@@ -129,7 +129,7 @@ func TestMixedFormatStore(t *testing.T) {
 	for _, seg := range v.Segments() {
 		for _, r := range seg.Records() {
 			hit := false
-			probed := seg.GatedSearchFeatures(r.Feat, r.Feat, nil, func(got Record) bool {
+			probed, _ := seg.GatedSearchFeatures(r.Feat, r.Feat, nil, func(got Record) bool {
 				if got.ID == r.ID {
 					hit = true
 					return false
@@ -277,7 +277,7 @@ func TestV3PreadFallback(t *testing.T) {
 		}
 	}
 	got := 0
-	probed := seg.GatedSearchLocation(q, nil, func(Record) bool { got++; return true })
+	probed, _ := seg.GatedSearchLocation(q, nil, func(Record) bool { got++; return true })
 	if got != want || probed != want {
 		t.Fatalf("pread location scan: got=%d probed=%d want=%d", got, probed, want)
 	}
@@ -306,14 +306,14 @@ func TestV3ScanZeroAlloc(t *testing.T) {
 	q := geom.MBR{Min: append(geom.Point{}, mbr.Min...), Max: append(geom.Point{}, mbr.Max...)}
 
 	if n := testing.AllocsPerRun(100, func() {
-		if seg.GatedSearchFeatures(lo, hi, gate, visit) != len(entries) {
+		if n, _ := seg.GatedSearchFeatures(lo, hi, gate, visit); n != len(entries) {
 			t.Fatal("feature scan missed records")
 		}
 	}); n != 0 {
 		t.Fatalf("feature filter+gate scan allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if seg.GatedSearchLocation(q, gate, visit) != len(entries) {
+		if n, _ := seg.GatedSearchLocation(q, gate, visit); n != len(entries) {
 			t.Fatal("location scan missed records")
 		}
 	}); n != 0 {

@@ -422,32 +422,25 @@ func (s *Segment) Zone() (mbr geom.MBR, featMin, featMax [4]float64) {
 	return s.zone.mbr, s.zone.featMin, s.zone.featMax
 }
 
-// SearchLocation visits records whose MBR intersects the query box.
-// Iteration stops early if visit returns false. A query box outside the
-// segment's zone returns immediately without touching the index.
-func (s *Segment) SearchLocation(q geom.MBR, visit func(Record) bool) {
-	s.GatedSearchLocation(q, nil, visit)
-}
-
 // GatedSearchLocation visits records whose MBR intersects the query box
-// AND whose feature vector passes gate (nil means no gate); it returns
+// AND whose feature vector passes gate (nil means no gate). It returns
 // the number of intersecting records regardless of the gate, so callers
-// can report index-candidate counts. On v3 segments the intersection
-// test and the gate run directly over the columnar region — zero
-// allocation, no per-record syscall; v1/v2 segments probe their R-tree
-// and read the gate input from the decoded records. Iteration stops
-// early if visit returns false (the returned count is then partial). A
-// query box outside the segment's zone returns immediately.
-func (s *Segment) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) int {
+// can report index-candidate counts, and whether the segment's zone
+// excluded the query box (the scan was skipped without touching the
+// columns or the index). On v3 segments the intersection test and the
+// gate run directly over the columnar region — zero allocation, no
+// per-record syscall; v1/v2 segments probe their R-tree and read the
+// gate input from the decoded records. Iteration stops early if visit
+// returns false (the returned count is then partial).
+func (s *Segment) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, visit func(Record) bool) (probed int, zoneSkipped bool) {
 	if !s.zone.mbr.Intersects(q) {
 		metricZoneSkips.Inc()
-		return 0
+		return 0, true
 	}
 	metricScans.Inc()
 	if s.version == 3 {
-		return s.scanLocationV3(q, gate, visit)
+		return s.scanLocationV3(q, gate, visit), false
 	}
-	probed := 0
 	s.loc.SearchIntersect(q, func(it rtree.Item) bool {
 		probed++
 		r := s.recs[s.byID[it.ID]]
@@ -456,36 +449,27 @@ func (s *Segment) GatedSearchLocation(q geom.MBR, gate func([4]float64) bool, vi
 		}
 		return visit(r)
 	})
-	return probed
-}
-
-// SearchFeatures visits records whose feature vector lies inside the
-// inclusive hyper-rectangle [lo, hi]. Iteration stops early if visit
-// returns false. A range disjoint from the segment's feature zone
-// returns immediately without touching the index.
-func (s *Segment) SearchFeatures(lo, hi [4]float64, visit func(Record) bool) {
-	s.GatedSearchFeatures(lo, hi, nil, visit)
+	return probed, false
 }
 
 // GatedSearchFeatures visits records whose feature vector lies inside
-// [lo, hi] AND passes gate (nil means no gate); it returns the number of
-// in-range records regardless of the gate. On v3 segments this is the
-// fused filter+gate pass: one sequential scan of the feats column from
-// the mapping, zero allocation. Iteration stops early if visit returns
-// false (the returned count is then partial). A range disjoint from the
-// segment's feature zone returns immediately.
-func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) int {
+// the inclusive hyper-rectangle [lo, hi] AND passes gate (nil means no
+// gate); it returns the number of in-range records regardless of the
+// gate and whether the segment's feature zone excluded the range. On v3
+// segments this is the fused filter+gate pass: one sequential scan of
+// the feats column from the mapping, zero allocation. Iteration stops
+// early if visit returns false (the returned count is then partial).
+func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) bool, visit func(Record) bool) (probed int, zoneSkipped bool) {
 	for d := 0; d < 4; d++ {
 		if hi[d] < s.zone.featMin[d] || lo[d] > s.zone.featMax[d] {
 			metricZoneSkips.Inc()
-			return 0
+			return 0, true
 		}
 	}
 	metricScans.Inc()
 	if s.version == 3 {
-		return s.scanFeaturesV3(lo, hi, gate, visit)
+		return s.scanFeaturesV3(lo, hi, gate, visit), false
 	}
-	probed := 0
 	s.feat.Search(lo, hi, func(fe featidx.Entry) bool {
 		probed++
 		r := s.recs[s.byID[fe.ID]]
@@ -494,7 +478,7 @@ func (s *Segment) GatedSearchFeatures(lo, hi [4]float64, gate func([4]float64) b
 		}
 		return visit(r)
 	})
-	return probed
+	return probed, false
 }
 
 // blobPool recycles pread scratch buffers so the fallback refine path

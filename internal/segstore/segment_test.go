@@ -104,9 +104,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	got := 0
-	seg.SearchLocation(q, func(Record) bool { got++; return true })
+	seg.GatedSearchLocation(q, nil, func(Record) bool { got++; return true })
 	if got != want {
-		t.Fatalf("SearchLocation: %d hits, linear scan %d", got, want)
+		t.Fatalf("GatedSearchLocation: %d hits, linear scan %d", got, want)
 	}
 	lo := [4]float64{0, 0, 0, 0}
 	hi := entries[0].Feat
@@ -123,9 +123,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	got = 0
-	seg.SearchFeatures(lo, hi, func(Record) bool { got++; return true })
+	seg.GatedSearchFeatures(lo, hi, nil, func(Record) bool { got++; return true })
 	if got != want {
-		t.Fatalf("SearchFeatures: %d hits, linear scan %d", got, want)
+		t.Fatalf("GatedSearchFeatures: %d hits, linear scan %d", got, want)
 	}
 }
 
@@ -400,29 +400,33 @@ func TestSegmentZone(t *testing.T) {
 	for d := 0; d < 4; d++ {
 		lo[d], hi[d] = fmax[d]+1, fmax[d]+2
 	}
-	seg.SearchFeatures(lo, hi, func(r Record) bool {
+	if _, skipped := seg.GatedSearchFeatures(lo, hi, nil, func(r Record) bool {
 		t.Fatalf("disjoint feature range visited record %d", r.ID)
 		return false
-	})
+	}); !skipped {
+		t.Fatal("disjoint feature range not reported as zone-skipped")
+	}
 	// A location box outside the union MBR must visit nothing.
 	far := geom.MBR{Min: geom.Point{mbr.Max[0] + 10, mbr.Max[1] + 10}, Max: geom.Point{mbr.Max[0] + 11, mbr.Max[1] + 11}}
-	seg.SearchLocation(far, func(r Record) bool {
+	if _, skipped := seg.GatedSearchLocation(far, nil, func(r Record) bool {
 		t.Fatalf("disjoint location box visited record %d", r.ID)
 		return false
-	})
+	}); !skipped {
+		t.Fatal("disjoint location box not reported as zone-skipped")
+	}
 	// In-zone queries still work: probing each record's own feature
 	// vector must find it.
 	for _, r := range seg.Records() {
 		found := false
-		seg.SearchFeatures(r.Feat, r.Feat, func(got Record) bool {
+		_, skipped := seg.GatedSearchFeatures(r.Feat, r.Feat, nil, func(got Record) bool {
 			if got.ID == r.ID {
 				found = true
 				return false
 			}
 			return true
 		})
-		if !found {
-			t.Fatalf("point probe missed record %d", r.ID)
+		if !found || skipped {
+			t.Fatalf("point probe missed record %d (zone-skipped %v)", r.ID, skipped)
 		}
 	}
 

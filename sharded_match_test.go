@@ -80,7 +80,7 @@ func TestShardedPutWithConcurrentMatching(t *testing.T) {
 				}
 				q := match.Query{Target: target, Threshold: 0.6, Limit: 5, Workers: 2}
 				if m == 0 {
-					if _, _, err := match.Run(base, q); err != nil {
+					if _, _, err := match.Run(base.Snapshot(), q); err != nil {
 						t.Error(err)
 						return
 					}

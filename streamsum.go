@@ -615,7 +615,7 @@ type MatchOptions struct {
 	// cache hits vs disk loads) as spans and attributes. The caller owns
 	// the trace's lifetime (obtain one with NewMatchTrace, Finish it
 	// after the query). Tracing never changes the results; it only adds
-	// a few clock reads and zone re-checks.
+	// a few clock reads and span records.
 	Trace *MatchTrace
 }
 

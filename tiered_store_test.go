@@ -322,7 +322,7 @@ func TestNoveltyBatchEquivalence(t *testing.T) {
 		for _, s := range sums {
 			offered++
 			if ref.Len() > 0 {
-				ms, _, err := match.Run(ref, match.Query{Target: s, Threshold: novelty, Limit: 1})
+				ms, _, err := match.Run(ref.Snapshot(), match.Query{Target: s, Threshold: novelty, Limit: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
