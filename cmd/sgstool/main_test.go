@@ -107,6 +107,10 @@ func TestInspectOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The smoke line below reports the live cache, whatever SGS_SUMCACHE
+	// says; the "off" line is checked after it.
+	prev := sumcache.SetEnabled(true)
+	defer sumcache.SetEnabled(prev)
 	st2, err := openStore(dir, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +156,7 @@ func TestInspectOutput(t *testing.T) {
 
 	// With the layer disabled the line degrades to "off" — the uncached
 	// path an operator gets under SGS_SUMCACHE=off.
-	prev := sumcache.SetEnabled(false)
-	defer sumcache.SetEnabled(prev)
+	sumcache.SetEnabled(false)
 	buf.Reset()
 	printStore(&buf, st2)
 	lines = strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")

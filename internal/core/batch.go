@@ -250,39 +250,42 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 		}
 	})
 
-	// Phase 1b (parallel over tuples): the range query searches over the
-	// frozen state + private career/neighbor-list construction.
+	// Phase 1b (parallel over runs of tuples): the range query searches
+	// over the frozen state + private career/neighbor-list construction.
+	// A run's tuples share one scratch buffer, so each list is allocated
+	// once, at its final length.
 	r2 := e.cfg.ThetaR * e.cfg.ThetaR
-	par.For(workers, n, func(k int) {
-		o := objs[k]
-		p := seg[k].P
-		sc := &cells[tupCell[k]]
-		var ex []*object
-		for _, c := range sc.scan {
-			for _, q := range c.objs {
-				if geom.DistSq(p, q.p) <= r2 {
-					ex = append(ex, q)
+	const run = 32
+	par.ForEach(workers, (n+run-1)/run, func(ri int) {
+		var buf []*object
+		for k := ri * run; k < min(n, (ri+1)*run); k++ {
+			o := objs[k]
+			p := seg[k].P
+			sc := &cells[tupCell[k]]
+			buf = buf[:0]
+			for _, c := range sc.scan {
+				for _, q := range c.objs {
+					if geom.DistSq(p, q.p) <= r2 {
+						buf = append(buf, q)
+					}
 				}
 			}
-		}
-		existing[k] = ex
-		var local []int32
-		for _, m := range sc.cands {
-			if int(m) != k && geom.DistSq(p, seg[m].P) <= r2 {
-				local = append(local, m)
+			ne := len(buf)
+			for _, m := range sc.cands {
+				if int(m) != k && geom.DistSq(p, seg[m].P) <= r2 {
+					buf = append(buf, objs[m])
+				}
 			}
+			// One list: existing matches first, then intra-segment ones;
+			// the existing prefix doubles as phase 2's reverse-wiring
+			// work list.
+			o.nbrs = append([]*object(nil), buf...)
+			existing[k] = o.nbrs[:ne:ne]
+			for _, q := range o.nbrs {
+				o.tracker.Add(q.last)
+			}
+			o.coreLast = o.tracker.CoreLast(o.last)
 		}
-		o.nbrs = make([]*object, 0, len(ex)+len(local))
-		for _, q := range ex {
-			o.nbrs = append(o.nbrs, q)
-			o.tracker.Add(q.last)
-		}
-		for _, m := range local {
-			q := objs[m]
-			o.nbrs = append(o.nbrs, q)
-			o.tracker.Add(q.last)
-		}
-		o.coreLast = o.tracker.CoreLast(o.last)
 	})
 	MetricDiscoverySeconds.Observe(time.Since(discoveryStart))
 	discoverySpan.SetInt("tuples", int64(n))
@@ -319,8 +322,12 @@ func (e *Extractor) insertSegment(seg []BatchEntry) {
 
 		// Intra-segment pairs were fully handled in phase 1 (both sides'
 		// trackers and neighbor lists); only pre-existing neighbors carry
-		// shared trackers that must grow in arrival order.
+		// shared trackers that must grow in arrival order — and only while
+		// their careers can still grow (see safeCore).
 		for _, q := range existing[k] {
+			if safeCore(q) {
+				continue
+			}
 			q.nbrs = append(q.nbrs, o)
 			if q.tracker.Add(o.last) {
 				if nl := q.tracker.CoreLast(q.last); nl > q.coreLast {

@@ -85,7 +85,11 @@ type object struct {
 	coreLast int64 // predicted last core window (window.Never if none)
 	grownSeg int64 // batch segment that last recorded a career growth (dedup)
 	tracker  window.CoreTracker
-	nbrs     []*object // neighbor refs; pruned lazily (see compactNbrs)
+	// nbrs holds the object's neighbors while its career can still grow;
+	// expired entries are pruned lazily by refresh and resolveEdgeCell. It
+	// is nil once the object is a safe core (see safeCore), which
+	// arrivals then no longer wire themselves into.
+	nbrs []*object
 }
 
 // cell is a skeletal grid cell with its live objects and lifespans
@@ -148,6 +152,10 @@ type Extractor struct {
 	expiry map[int64][]*object // window n -> objects with last == n
 
 	objCount int
+
+	// scratch is insert's range query buffer: the search appends into it,
+	// and the new object's list is one copy at its final length.
+	scratch []*object
 
 	// tr is the in-flight batch's span trace (flight recorder category
 	// Ingest), set only for the duration of a PushBatch; nil otherwise

@@ -24,10 +24,21 @@
 //     per cluster, from which the full representation is collected.
 //
 // Where the paper's technical report (unavailable) left the connection
-// prolong-propagation unspecified, we keep per-object neighbor references
-// (ids only, pruned lazily at the same points the paper prunes its
-// bucketed neighbor lists) so that every career growth refreshes the
-// affected cell connections; DESIGN.md discusses this substitution.
+// prolong-propagation unspecified, each object keeps its neighbors as
+// object pointers, pruned lazily of expired entries, so that every career
+// growth refreshes the affected cell connections. Like the paper's
+// non-core-career neighbor lists, a list lives only while its object's
+// career can still grow: once an object is a safe core (core until it
+// expires, coreLast == last) its list is dropped and arrivals no longer
+// wire themselves into it or update its career. This is exact:
+//
+//   - Safe is final: careers only grow and coreLast never exceeds last.
+//   - refresh runs only for a new object or a grown career, so a safe
+//     object is never refreshed again.
+//   - Every pair a later arrival forms with a safe object is refreshed
+//     from the arrival's side, through the symmetric min terms.
+//   - The output stage reads neighbor lists only for objects of edge
+//     cells, which are non-core in the emitted window and so never safe.
 //
 // # Invariants
 //

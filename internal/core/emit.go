@@ -204,12 +204,14 @@ type clusterEdge struct {
 // resolveEdgeCell determines, for each object of an attached edge cell,
 // which of the reaching groups it is an edge member of (Definition 3.1:
 // some live core object of that group is its neighbor), compacting the
-// object's neighbor list in the same pass. Per-object neighbor scans here
-// are cheap: a non-core object has fewer than θc live neighbors by
-// definition — the boundedness argument behind the paper's non-core-career
-// neighbor lists. Each edge cell is resolved exactly once even when shared
-// between clusters, so the neighbor-list compaction — the only mutation —
-// stays single-writer under the parallel fan-out.
+// object's neighbor list in the same pass. The lists it reads are
+// complete: only a safe core's list is dropped, and an edge cell's objects
+// are all non-core in window n. Per-object neighbor scans here are cheap:
+// a non-core object has fewer than θc live neighbors by definition — the
+// boundedness argument behind the paper's non-core-career neighbor lists.
+// Each edge cell is resolved exactly once even when shared between
+// clusters, so the neighbor-list compaction — the only mutation — stays
+// single-writer under the parallel fan-out.
 func (e *Extractor) resolveEdgeCell(ec *emitEdgeCell, n int64, comp map[*cell]int) {
 	ec.members = make([][]int64, len(ec.groups))
 	var gset []int // groups this object's core neighbors belong to

@@ -23,7 +23,8 @@ import (
 // or promotes, and the corresponding status/connection updates.
 func (e *Extractor) insert(id int64, p geom.Point, pos int64) {
 	coord := e.geo.CoordOf(p)
-	e.applyInsert(id, p, pos, coord, e.discoverInto(coord, p, nil))
+	e.scratch = e.discoverInto(coord, p, e.scratch[:0])
+	e.applyInsert(id, p, pos, coord, append([]*object(nil), e.scratch...))
 }
 
 // scanCells visits every occupied cell that can contain neighbors of a
@@ -75,7 +76,8 @@ func (e *Extractor) discoverInto(coord grid.Coord, p geom.Point, buf []*object) 
 // (re)computation, and propagation of every career growth to cell statuses
 // and connections. It must see cands exactly as a fresh range query over
 // the current state would produce them (order is immaterial: all
-// downstream lifespan updates are max-accumulations).
+// downstream lifespan updates are max-accumulations), and it keeps cands
+// as the new object's neighbor list.
 func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Coord, cands []*object) *object {
 	o := &object{
 		id:       id,
@@ -106,12 +108,17 @@ func (e *Extractor) applyInsert(id int64, p geom.Point, pos int64, coord grid.Co
 	e.expiry[o.last] = append(e.expiry[o.last], o)
 
 	var affected []*object
+	o.nbrs = cands
 	for _, q := range cands {
-		// Record the neighborship on both sides (Observation 5.3: its
-		// lifespan is min of the two expiries, implicit in the refs).
-		o.nbrs = append(o.nbrs, q)
-		q.nbrs = append(q.nbrs, o)
 		o.tracker.Add(q.last)
+		// A safe core (core until it expires) has no career left to grow:
+		// the pair reaches refresh through o alone (see safeCore).
+		if safeCore(q) {
+			continue
+		}
+		// Record the neighborship on q's side too (Observation 5.3: its
+		// lifespan is min of the two expiries, implicit in the refs).
+		q.nbrs = append(q.nbrs, o)
 		// The arrival may promote q to core or prolong q's core career
 		// (the "status promotion case 2"/"status prolong case 2" of
 		// Figure 6).
@@ -213,4 +220,17 @@ func (e *Extractor) refresh(a *object) {
 		}
 	}
 	a.nbrs = a.nbrs[:live]
+	if safeCore(a) {
+		// Every pair a joins from now on is refreshed from the newcomer's
+		// side, and a is never refreshed again: the list is dead weight.
+		a.nbrs = nil
+	}
 }
+
+// safeCore reports whether o is core until it expires. Its career cannot
+// grow any further (careers only grow, and coreLast <= last), so nothing
+// ever refreshes o again and its neighbor list and tracker are no longer
+// maintained: an arrival o' neighboring it still gets every pair lifespan
+// right, because refresh(o') evaluates the same symmetric min terms with
+// o's final career.
+func safeCore(o *object) bool { return o.coreLast == o.last }

@@ -375,25 +375,23 @@ func TestTrackOnlySubscription(t *testing.T) {
 }
 
 // TestChurnRace hammers subscribe/unsubscribe against a concurrent Offer
-// loop; the race detector is the assertion.
+// loop; the race detector is the assertion. Each subscriber goroutine runs
+// a fixed number of subscribe/cancel rounds (a third of them stay live),
+// and Offer rounds keep running until every subscriber is done, so the
+// work is bounded however the goroutines get scheduled.
 func TestChurnRace(t *testing.T) {
+	const subRounds = 30
 	targets, windows := fixture(t, 8, 4, 3)
 	reg, err := NewRegistry(Config{Dim: 2, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < subRounds; i++ {
 				s, err := reg.Subscribe(Options{Target: targets[(g+i)%len(targets)], Threshold: 0.3, Track: i%2 == 0})
 				if err != nil {
 					t.Error(err)
@@ -409,7 +407,20 @@ func TestChurnRace(t *testing.T) {
 			}
 		}(g)
 	}
-	for round := 0; round < 20; round++ {
+	subsDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(subsDone)
+	}()
+	churning := func() bool {
+		select {
+		case <-subsDone:
+			return false
+		default:
+			return true
+		}
+	}
+	for round := 0; round < 20 || churning(); round++ {
 		for _, win := range windows {
 			if err := reg.Offer(win); err != nil {
 				t.Fatal(err)
@@ -417,8 +428,6 @@ func TestChurnRace(t *testing.T) {
 			reg.OfferTrack([]track.Event{{Kind: track.Continued, TrackID: int64(round)}})
 		}
 	}
-	close(stop)
-	wg.Wait()
 	reg.Close()
 	if reg.Len() != 0 {
 		t.Fatalf("Len = %d after Close, want 0", reg.Len())

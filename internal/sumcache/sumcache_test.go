@@ -17,6 +17,9 @@ func testSummary(id int64) *sgs.Summary {
 }
 
 func TestGetOrLoadCachesPerResidency(t *testing.T) {
+	// The live cache under test, whatever SGS_SUMCACHE says.
+	prev := SetEnabled(true)
+	defer SetEnabled(prev)
 	c := New(1 << 20)
 	if c == nil {
 		t.Fatal("New returned a disabled cache for a positive budget")
